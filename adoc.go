@@ -283,9 +283,10 @@ type Options struct {
 	// Parallelism is this connection's in-flight window on the shared
 	// worker pool: how many adaptation buffers it may have submitted for
 	// compression (or receive groups for decompression) at once (default
-	// min(GOMAXPROCS, 4)). 1 selects the paper's sequential two-goroutine
-	// pipeline. Every setting produces the same wire framing and delivers
-	// bytes in order.
+	// min(GOMAXPROCS, 4)). 1 is a window of one: the writer compresses
+	// and the reader decodes inline, the paper's two-thread pipeline.
+	// Every setting produces the same wire framing and delivers bytes in
+	// order.
 	Parallelism int
 	// SharedPool is the worker pool this connection submits jobs to; nil
 	// selects the process-wide default pool sized to GOMAXPROCS.

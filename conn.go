@@ -149,9 +149,9 @@ func (c *Conn) CounterStats() Stats { return c.eng.CounterStats() }
 // (1.0 means no gain; higher is better).
 func (c *Conn) CompressionRatio() float64 { return c.eng.CompressionRatio() }
 
-// Parallelism returns the effective compression worker count after
-// defaulting: 1 means the sequential two-goroutine pipeline, higher values
-// the sharded worker pool.
+// Parallelism returns the effective in-flight window after defaulting:
+// 1 means a window of one (compression and decoding inline), higher
+// values that many buffers in flight on the shared worker pool.
 func (c *Conn) Parallelism() int { return c.eng.Options().Parallelism }
 
 // Underlying returns the wrapped stream.

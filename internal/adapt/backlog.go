@@ -2,31 +2,24 @@ package adapt
 
 import "sync/atomic"
 
-// Backlog counts packets that exist in the sender pipeline but are not yet
-// visible in the emission FIFO: segments produced by parallel compression
-// workers that are still waiting in the in-order reassembly stage.
+// Backlog counts the packets of a sender pipeline that pool workers have
+// produced and the emission thread has not yet taken.
 //
 // Paper Figure 2 drives the level from the occupancy n of the single FIFO
-// between the compression thread and the emission thread. With a sharded
-// worker pool there are packets in flight outside that queue, so the
-// occupancy the controller sees must be the sum over the whole pipeline —
-// fifo.Len() + backlog.Len() — or the control law would systematically
-// under-read the work the network has not yet absorbed. Workers increment
-// the backlog as each segment is produced; the reassembly stage decrements
-// it as segments are handed to the emission FIFO (where Len counts them
-// again).
-//
-// A nil *Backlog is valid and always empty, so the sequential path can pass
-// nil instead of special-casing.
+// between the compression thread and the emission thread. At a window of
+// one that FIFO is the whole pipeline. Above one, buffers are compressed on
+// a worker pool and their packets wait with their job until the emission
+// thread takes them, so the backlog is the occupancy the controller reads:
+// reading less would systematically under-count the work the network has
+// not yet absorbed. Workers increment the backlog as each segment is
+// produced; the emission thread decrements it as it takes each segment for
+// the socket, as the FIFO's Pop would.
 type Backlog struct {
 	n atomic.Int64
 }
 
 // Add adjusts the backlog by delta packets (negative to drain).
 func (b *Backlog) Add(delta int) {
-	if b == nil {
-		return
-	}
 	b.n.Add(int64(delta))
 }
 
@@ -34,9 +27,6 @@ func (b *Backlog) Add(delta int) {
 // negative value (decrement racing an increment) reads as empty rather than
 // skewing the controller's delta.
 func (b *Backlog) Len() int {
-	if b == nil {
-		return 0
-	}
 	n := b.n.Load()
 	if n < 0 {
 		return 0

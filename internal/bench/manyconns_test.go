@@ -6,12 +6,14 @@ import "testing"
 // and in CI's resource-budget job (1000 conns from the bench artifact).
 // Idle: one handler goroutine per connection plus measurement slack —
 // nothing else may survive between messages. Active: two application
-// goroutines (sender, handler) plus the five engine pipeline goroutines
-// per stalled connection; before the shared worker pool this was ~15, with
-// Parallelism=4 workers spawned per direction per message.
+// goroutines (sender, handler) plus the two engine goroutines per stalled
+// connection — the sender's emission thread and the receiver's reception
+// thread; compression and decoding run on the writer, the consumer, or
+// the shared pool. Measured 4.0; before the shared worker pool this was
+// ~15, and before the one-pipeline engine 7.0.
 const (
 	budgetIdlePerConn   = 2.0
-	budgetActivePerConn = 8.0
+	budgetActivePerConn = 5.0
 )
 
 // TestManyConnsGoroutineBudget is the goroutine-count regression test: 100

@@ -57,7 +57,7 @@ type Engine struct {
 
 	// sendTC is the flow-trace context of the in-progress write; written
 	// at the top of every write while wmu is held, so the send pipeline
-	// (which outlives no single write — writeMessage joins its emitter
+	// (which outlives no single write — send joins its emitter and jobs
 	// before returning) reads a stable value.
 	sendTC obs.TraceContext
 
@@ -73,8 +73,8 @@ type Engine struct {
 	// wmu at the start of each message so every group of that message uses
 	// one dictionary even while SetSendDict swaps the pending one.
 	// recvDicts holds installed receive generations; groups name theirs by
-	// generation, so parallel decode reordering cannot pair a group with
-	// the wrong dictionary.
+	// generation, so decoding on the pool out of order cannot pair a
+	// group with the wrong dictionary.
 	dictMu      sync.Mutex
 	pendingDict *sendDict
 	msgDict     *sendDict // guarded by wmu
@@ -91,8 +91,8 @@ type Engine struct {
 }
 
 // recvTraceState is the adoption buffer for receive-side spans of the
-// in-progress message. Guarded by its own mutex: the reception and
-// decode goroutines record concurrently with the consumer adopting.
+// in-progress message. Guarded by its own mutex: the reception goroutine
+// and pool decode jobs record concurrently with the consumer adopting.
 type recvTraceState struct {
 	mu      sync.Mutex
 	tc      obs.TraceContext

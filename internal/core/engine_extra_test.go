@@ -113,10 +113,14 @@ func TestSendMessageSizeTruncatedSource(t *testing.T) {
 			}
 		}
 	}()
-	// Source EOFs before the declared size: must error, not hang.
-	_, _, err := e1.SendMessage(bytes.NewReader(compressibleData(10*1024)), 64*1024)
+	// Source EOFs before the declared size: must error, not hang, and
+	// report only the bytes delivered, never the declared size.
+	raw, _, err := e1.SendMessage(bytes.NewReader(compressibleData(10*1024)), 64*1024)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+	if raw > 10*1024 {
+		t.Fatalf("raw = %d, want at most the 10240 bytes the source held", raw)
 	}
 }
 

@@ -56,7 +56,7 @@ const (
 )
 
 // DefaultParallelism is min(GOMAXPROCS, MaxDefaultParallelism): one
-// compression worker per core up to the default cap, never less than one.
+// in-flight buffer per core up to the default cap, never less than one.
 func DefaultParallelism() int {
 	p := runtime.GOMAXPROCS(0)
 	if p > MaxDefaultParallelism {
@@ -111,15 +111,15 @@ type Options struct {
 	// FlushInterval is the raw-byte granularity of streaming compression.
 	FlushInterval int
 	// Parallelism is this engine's in-flight window: how many adaptation
-	// buffers (or receive groups) it may have submitted to the shared
-	// worker pool at once. 1 selects the paper's sequential two-thread
-	// pipeline with no pool involvement; 0 selects DefaultParallelism().
-	// Wire framing and ordering are identical at every setting. Actual CPU
-	// concurrency is bounded by the worker pool's size, shared across all
-	// engines.
+	// buffers (or receive groups) it may have dispatched at once. 1 is a
+	// window of one — the writer compresses and the reader decodes inline,
+	// with no pool involvement; larger windows run the jobs on the shared
+	// worker pool; 0 selects DefaultParallelism(). Wire framing and
+	// ordering are identical at every setting. Actual CPU concurrency is
+	// bounded by the worker pool's size, shared across all engines.
 	Parallelism int
-	// SharedPool is the worker pool this engine submits its parallel
-	// compression/decompression jobs to; nil selects the process-wide
+	// SharedPool is the worker pool this engine submits its
+	// compression/decompression jobs to at windows above one; nil selects the process-wide
 	// DefaultWorkerPool. Engines on any number of connections may share
 	// one pool — jobs never block on other jobs, so a fixed worker count
 	// cannot deadlock.

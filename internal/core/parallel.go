@@ -1,24 +1,22 @@
-// Parallel compression pipeline (Parallelism > 1): the sequential
-// compression goroutine of the paper becomes buffer jobs submitted to the
-// process-wide WorkerPool. The writer splits the message into adaptation
-// buffers exactly as before and chooses a level for each buffer at enqueue
-// time; pool workers compress buffers concurrently; an in-order reassembly
-// stage feeds the unchanged emission goroutine, so the wire stream is
-// byte-identical in ordering and framing to the sequential path for the
-// same sequence of level choices. The receive side mirrors this with
-// parallel block decompression behind the same in-order delivery
-// guarantee.
+// The in-flight window (Options.Parallelism) of the one send pipeline and
+// the one receive pipeline. The writer cuts a message into adaptation
+// buffers and chooses each buffer's level at dispatch; the consumer cuts
+// the incoming frames into groups. At a window of one each buffer or group
+// is processed inline on that goroutine, exactly the paper's
+// two-thread pipeline. Above one, up to Parallelism of them run as jobs on
+// the process-wide WorkerPool, and the emission thread (or the consumer)
+// takes the results back in dispatch order itself, so the wire stream and
+// the delivered byte stream are the same at every window.
 //
 // Parallelism bounds the engine's in-flight buffer window — how many
-// adaptation buffers it may have submitted at once — not a private worker
-// count: CPU concurrency across all engines is the shared pool's size.
+// buffers it may have dispatched at once — not a private worker count:
+// CPU concurrency across all engines is the shared pool's size.
 
 package core
 
 import (
 	"fmt"
 	"hash/adler32"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -30,20 +28,25 @@ import (
 	"adoc/internal/wire"
 )
 
-// compResult is one compressed buffer: its wire-framed segments in order,
-// plus the entropy probe's verdict, applied to the controller by the
-// reassembly stage so feedback arrives in buffer order rather than worker
-// completion order.
-type compResult struct {
-	segs  []segment
-	raw   int // raw bytes the segments carry, for rawSent accounting
-	class contentClass
-	err   error
+// compJob is one adaptation buffer of the send pipeline: its pooled read
+// buffer, the level chosen at dispatch and, once compressed, the entropy
+// probe's verdict and the error. A pool job collects its wire-framed
+// segments in segs and closes done when finished; at a window of one the
+// segments go straight to the emission FIFO and done stays nil.
+type compJob struct {
+	buf      []byte
+	raw      int
+	level    codec.Level
+	submitAt time.Time
+	segs     segList
+	class    contentClass
+	err      error
+	done     chan struct{}
 }
 
-// segList collects the segments of one buffer on a worker's stack, counting
+// segList collects the segments of one buffer on a pool worker, counting
 // each one into the shared pipeline backlog so the controller's occupancy
-// signal covers work the emission FIFO cannot see yet.
+// signal covers packets that are compressed but not yet sent.
 type segList struct {
 	segs    []segment
 	backlog *adapt.Backlog
@@ -55,364 +58,204 @@ func (l *segList) Push(s segment) error {
 	return nil
 }
 
-// getChunkBuf returns a BufferSize-capacity read buffer from the shared
-// tiered pool (each in-flight parallel buffer needs its own backing
-// array, recycled across every engine in the process).
-func (e *Engine) getChunkBuf() []byte {
-	return bufpool.Get(e.opts.BufferSize)
-}
-
-func (e *Engine) putChunkBuf(b []byte) {
-	bufpool.Put(b)
-}
-
-// compressJob runs on a pool worker: classify one adaptation buffer,
-// compress it at its enqueue-time level, release its backing buffers, and
-// deliver the result to the engine's reassembly stage. For sampled
-// messages the worker records the buffer's queue wait (submitAt to job
-// start) and its compress span.
-func (e *Engine) compressJob(buf, data []byte, level codec.Level, backlog *adapt.Backlog, res chan<- compResult, tc obs.TraceContext, submitAt time.Time) {
+// compress classifies one adaptation buffer and compresses it at its
+// dispatch-time level into dst, then releases the buffer. For sampled
+// messages it records the buffer's queue wait (pool jobs only: submitAt to
+// job start) and its compress span.
+func (e *Engine) compress(j *compJob, data []byte, dst segDst, tc obs.TraceContext) {
 	tr := e.opts.FlowTracer
 	var start time.Time
 	if tc.Sampled {
 		start = tr.Now()
-		tr.Record(tc, 0, obs.StageQueue, submitAt, start.Sub(submitAt), len(data), int(level))
+		if !j.submitAt.IsZero() {
+			tr.Record(tc, 0, obs.StageQueue, j.submitAt, start.Sub(j.submitAt), j.raw, int(j.level))
+		}
 	}
-	level, class := e.classifyBuffer(level, data)
+	level, class := e.classifyBuffer(j.level, data)
 	var scratch []byte
 	if level == codec.LZF {
 		scratch = bufpool.Get(e.opts.BufferSize)
 	}
-	dst := &segList{backlog: backlog}
-	err := e.compressBufferAt(dst, level, data, scratch)
-	raw := len(data)
+	j.class = class
+	j.err = e.compressBufferAt(dst, level, data, scratch)
 	if tc.Sampled {
-		tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), raw, int(level))
+		tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), j.raw, int(level))
 	}
 	if scratch != nil {
 		bufpool.Put(scratch) // segments copied out of it already
 	}
-	e.putChunkBuf(buf)
-	res <- compResult{segs: dst.segs, raw: raw, class: class, err: err}
+	bufpool.Put(j.buf)
 }
 
-// sendAdaptiveParallel is sendAdaptive with the compression stage executed
-// by the shared worker pool. The caller goroutine reads and assigns
-// levels, pool workers compress, the reassembly goroutine restores buffer
-// order into the emission FIFO, and the emitter is exactly the sequential
-// one. remaining < 0 means until EOF.
-func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
-	if remaining == 0 {
-		return 0, 0, nil
+// jobQueue is the emission thread's source above a window of one: the
+// pool jobs in buffer order, Parallelism of them queued plus the one at
+// the head. Pop hands out the packets of finished jobs in order, feeding
+// each job's probe verdict to the controller and its raw size to the stats
+// as it takes the job, and draining each packet from the backlog as the
+// FIFO's Pop would. Between socket writes it takes every finished job
+// ahead of the socket, up to limit packets — the emission FIFO's capacity —
+// so on a slow link the writer runs ahead and the occupancy builds exactly
+// as with the FIFO. A job's failure aborts the queue, so the writer stops;
+// an abort drops the packets taken ahead, as the FIFO's Abort does.
+type jobQueue struct {
+	e       *Engine
+	jobs    *fifo.Queue[*compJob]
+	backlog *adapt.Backlog
+	limit   int
+	head    *compJob  // taken from jobs, not finished when last looked at
+	ready   []segment // packets of finished jobs, in buffer order
+	high    int
+	aborted atomic.Pointer[error]
+}
+
+func (s *jobQueue) Pop() (segment, error) {
+	if err := s.aborted.Load(); err != nil {
+		return segment{}, *err
 	}
-	tc := e.sendTC
-	tr := e.opts.FlowTracer
-	q := fifo.New[segment](e.opts.QueueCapacity)
-	res := make(chan emitResult, 1)
-	go e.runEmitter(q, res, tc)
-
-	backlog := &adapt.Backlog{}
-	// order carries one result channel per buffer in enqueue order; its
-	// capacity is the engine's in-flight window (Parallelism) and bounds
-	// both reassembly memory and how many jobs this engine can have queued
-	// on the shared pool at once.
-	order := make(chan chan compResult, e.opts.Parallelism)
-
-	// Reassembly: pop result channels in enqueue order and feed the
-	// emission FIFO. On the first failure it aborts the FIFO and keeps
-	// draining so neither the reader nor the pool workers can block.
-	var failed atomic.Bool
-	reasmDone := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for rc := range order {
-			r := <-rc
-			if firstErr != nil {
-				continue
-			}
-			if r.err != nil {
-				firstErr = r.err
-			} else {
-				// Probe feedback in buffer order: the run counter must see
-				// the stream's sequence, not the workers' finish order.
-				e.noteContent(r.class)
-				for _, s := range r.segs {
-					if err := q.Push(s); err != nil {
-						firstErr = err
-						break
-					}
-					backlog.Add(-1)
-				}
-				if firstErr == nil {
-					// Counted here, not at dispatch, so a failed send
-					// reports the same rawSent the sequential path would.
-					e.stats.rawSent.Add(int64(r.raw))
-				}
-			}
-			if firstErr != nil {
-				failed.Store(true)
-				q.Abort(firstErr)
-			}
-		}
-		reasmDone <- firstErr
-	}()
-
-	var sendErr error
-	for remaining != 0 && !failed.Load() {
-		buf := e.getChunkBuf()
-		want := int64(len(buf))
-		if remaining > 0 && remaining < want {
-			want = remaining
-		}
-		n, rerr := io.ReadFull(src, buf[:want])
-		if n > 0 {
-			// The level is chosen here, against the whole-pipeline
-			// occupancy, and travels with the buffer.
-			level := e.ctrl.LevelForNextBuffer(q.Len() + backlog.Len())
-			rc := make(chan compResult, 1)
-			// The wait for an in-flight slot is the writer's enqueue
-			// stage; the queue stage (submit to job start) is measured by
-			// the worker against submitAt.
-			var eq time.Time
-			if tc.Sampled {
-				eq = tr.Now()
-			}
-			order <- rc
-			var submitAt time.Time
-			if tc.Sampled {
-				submitAt = tr.Now()
-				tr.Record(tc, 0, obs.StageEnqueue, eq, submitAt.Sub(eq), n, int(level))
-			}
-			data := buf[:n]
-			e.pool.Submit(func() { e.compressJob(buf, data, level, backlog, rc, tc, submitAt) })
-			if remaining > 0 {
-				remaining -= int64(n)
-			}
-		} else {
-			e.putChunkBuf(buf)
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if remaining > 0 {
-				sendErr = fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
-			}
-			break
-		}
-		if rerr != nil {
-			sendErr = fmt.Errorf("adoc: reading source: %w", rerr)
+	for len(s.ready) < s.limit {
+		if took, err := s.take(false); err != nil {
+			return segment{}, err
+		} else if !took {
 			break
 		}
 	}
-	// Every dispatched buffer already has its result channel queued in
-	// order, so closing it here lets the reassembly stage drain exactly
-	// the jobs that were submitted (blocking on each until its pool worker
-	// delivers).
-	close(order)
-	pipeErr := <-reasmDone
-
-	if sendErr != nil {
-		q.Abort(sendErr)
-	} else if pipeErr == nil {
-		q.CloseSend()
-	} // on pipeErr the reassembly stage already aborted the FIFO
-	r := <-res
-	if hw := int64(q.HighWater()); hw > e.stats.queueHigh.Load() {
-		e.stats.queueHigh.Store(hw)
+	if len(s.ready) == 0 {
+		if _, err := s.take(true); err != nil {
+			return segment{}, err
+		}
 	}
-	switch {
-	case sendErr != nil:
-		return r.rawDelivered, r.wireBytes, sendErr
-	case pipeErr != nil:
-		return r.rawDelivered, r.wireBytes, pipeErr
-	}
-	return r.rawDelivered, r.wireBytes, r.err
+	s.high = max(s.high, len(s.ready))
+	seg := s.ready[0]
+	s.ready = s.ready[1:]
+	s.backlog.Add(-1)
+	return seg, nil
 }
 
-// decGroup is one decoded group — or the message-end marker — delivered in
-// wire order to the consumer. doneAt, when set, is the instant the group's
-// decompression finished; the gap until the consumer takes it is the
+// take moves the oldest job's packets into ready once it has finished,
+// waiting for it when block is set; took is false when no job was ready.
+func (s *jobQueue) take(block bool) (took bool, err error) {
+	if s.head == nil {
+		if block {
+			if s.head, err = s.jobs.Pop(); err != nil {
+				return false, err
+			}
+		} else if s.head, took = s.jobs.TryPop(); !took {
+			return false, nil
+		}
+	}
+	j := s.head
+	if block {
+		<-j.done
+	} else {
+		select {
+		case <-j.done:
+		default:
+			return false, nil
+		}
+	}
+	s.head = nil
+	if j.err != nil {
+		s.Abort(j.err)
+		return false, j.err
+	}
+	s.e.noteContent(j.class)
+	s.e.stats.rawSent.Add(int64(j.raw))
+	s.ready = append(s.ready, j.segs.segs...)
+	return true, nil
+}
+
+// Len is the packets compressed and not yet sent: with the jobs standing
+// in for the FIFO, the backlog is the whole pipeline's occupancy.
+func (s *jobQueue) Len() int        { return s.backlog.Len() }
+func (s *jobQueue) CloseSend()      { s.jobs.CloseSend() }
+func (s *jobQueue) Abort(err error) { s.aborted.Store(&err); s.jobs.Abort(err) }
+func (s *jobQueue) HighWater() int  { return s.high }
+
+// decJob is one assembled group of the receive pipeline: decoded inline at
+// a window of one (done stays nil), by a pool worker above it (done is
+// closed once data and err are set). doneAt, when traced, is the instant
+// decoding finished; the gap until the consumer takes the group is the
 // in-order delivery wait.
-type decGroup struct {
+type decJob struct {
+	g      completedGroup
 	data   []byte
-	rawLen int
-	end    bool
-	doneAt time.Time
-	level  int
-}
-
-type decResult struct {
-	data   []byte
-	rawLen int
-	end    bool
 	err    error
 	doneAt time.Time
-	level  int
+	done   chan struct{}
 }
 
-// decodeGroup expands and verifies one assembled group — the same
-// per-group work on both receive paths (the sequential consumer calls it
-// inline, the pool workers concurrently). Dict groups name their
-// dictionary by generation, so out-of-order parallel decoding still pairs
-// each group with the exact bytes it was compressed against; a generation
-// this engine never installed is indistinguishable from corruption.
-func (e *Engine) decodeGroup(g completedGroup) decResult {
+// dispatchDecode starts decoding one assembled group: inline at a window of
+// one, where the block is the assembler's reused buffer and is consumed
+// before the next frame is fed; on the shared pool above it.
+func (e *Engine) dispatchDecode(g completedGroup) *decJob {
+	j := &decJob{g: g}
+	if e.opts.Parallelism == 1 {
+		e.decode(j)
+		return j
+	}
+	j.done = make(chan struct{})
+	e.pool.Submit(func() {
+		e.decode(j)
+		close(j.done)
+	})
+	return j
+}
+
+// wait reports whether j is decoded, blocking for it when block is set.
+func (j *decJob) wait(block bool) bool {
+	if j.done == nil {
+		return true
+	}
+	if block {
+		<-j.done
+		return true
+	}
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// decode expands one group, recording a decompress span against the
+// stream's adopted (or pending) receive trace.
+func (e *Engine) decode(j *decJob) {
+	tr := e.opts.FlowTracer
+	var t0 time.Time
+	if tr.Enabled() {
+		t0 = tr.Now()
+	}
+	j.data, j.err = e.decodeGroup(j.g)
+	if tr.Enabled() && j.err == nil {
+		j.doneAt = tr.Now()
+		e.recordRecvSpan(obs.StageDecompress, t0, j.doneAt.Sub(t0), j.g.rawLen, int(j.g.level))
+	}
+}
+
+// decodeGroup expands and verifies one assembled group. Dict groups name
+// their dictionary by generation, so out-of-order decoding on the pool
+// still pairs each group with the exact bytes it was compressed against;
+// a generation this engine never installed is indistinguishable from
+// corruption.
+func (e *Engine) decodeGroup(g completedGroup) ([]byte, error) {
 	var raw []byte
 	var err error
 	if g.dictOn {
 		dict, ok := e.recvDicts.Get(g.dictGen)
 		if !ok {
-			return decResult{err: fmt.Errorf("%w: group names uninstalled dictionary generation %d",
-				codec.ErrCorrupt, g.dictGen)}
+			return nil, fmt.Errorf("%w: group names uninstalled dictionary generation %d",
+				codec.ErrCorrupt, g.dictGen)
 		}
 		raw, err = codec.DecompressDict(g.block, g.rawLen, dict)
 	} else {
 		raw, err = codec.Decompress(g.level, g.block, g.rawLen)
 	}
 	if err != nil {
-		return decResult{err: err}
+		return nil, err
 	}
 	if adler32.Checksum(raw) != g.sum {
-		return decResult{err: wire.ErrChecksum}
+		return nil, wire.ErrChecksum
 	}
-	return decResult{data: raw, rawLen: g.rawLen}
-}
-
-// decodeGroupTraced is decodeGroup with a decompress span recorded against
-// the stream's adopted (or pending) receive trace, plus the completion
-// stamp the delivery stage measures its wait from.
-func (e *Engine) decodeGroupTraced(g completedGroup) decResult {
-	t0 := e.opts.FlowTracer.Now()
-	r := e.decodeGroup(g)
-	done := e.opts.FlowTracer.Now()
-	if r.err == nil {
-		e.recordRecvSpan(obs.StageDecompress, t0, done.Sub(t0), r.rawLen, int(g.level))
-		r.doneAt = done
-		r.level = int(g.level)
-	}
-	return r
-}
-
-// runDecodePipeline is the receive-side mirror of the parallel sender: an
-// assembler goroutine pops frames from the reception FIFO and rebuilds
-// groups, the shared worker pool decompresses groups concurrently (at most
-// Parallelism of this engine's groups in flight), and a collector delivers
-// decoded groups to st.decoded strictly in wire order. Groups decoded
-// before a failure are delivered first, matching the sequential path's
-// drain-then-error contract.
-func (e *Engine) runDecodePipeline(st *streamState) {
-	order := make(chan chan decResult, e.opts.Parallelism)
-
-	go func() {
-		failed := false
-		for rc := range order {
-			r := <-rc
-			if failed {
-				continue
-			}
-			switch {
-			case r.err != nil:
-				failed = true
-				st.decoded.CloseSendWithError(r.err)
-			case r.end:
-				if st.decoded.Push(decGroup{end: true}) != nil {
-					failed = true
-				}
-			default:
-				if st.decoded.Push(decGroup{data: r.data, rawLen: r.rawLen, doneAt: r.doneAt, level: r.level}) != nil {
-					failed = true
-				}
-			}
-		}
-		if !failed {
-			st.decoded.CloseSend()
-		}
-	}()
-
-	// deliver threads a result (or terminal condition) through the order
-	// channel so it surfaces only after every group dispatched before it.
-	deliver := func(r decResult) {
-		rc := make(chan decResult, 1)
-		rc <- r
-		order <- rc
-	}
-	// asm is the same frame state machine the sequential consumer runs;
-	// reuse stays false because pool workers hold each group's block while
-	// the next group assembles (and a raw group's decoded bytes alias it).
-	var asm groupAssembler
-	for {
-		fr, err := st.frames.Pop()
-		if err == io.EOF {
-			// The queue drained after MsgEnd was already consumed; a
-			// well-formed stream never gets here.
-			deliver(decResult{err: io.ErrUnexpectedEOF})
-			break
-		}
-		if err != nil {
-			deliver(decResult{err: err})
-			break
-		}
-		g, end, ferr := asm.feed(fr)
-		if fr.payload != nil {
-			// feed copied the payload into the group block; the frame's
-			// pooled buffer is free again.
-			bufpool.Put(fr.payload)
-		}
-		if ferr != nil {
-			deliver(decResult{err: ferr})
-			break
-		}
-		if end {
-			deliver(decResult{end: true})
-			break
-		}
-		if g != nil {
-			grp := *g
-			rc := make(chan decResult, 1)
-			order <- rc
-			if e.opts.FlowTracer.Enabled() {
-				e.pool.Submit(func() { rc <- e.decodeGroupTraced(grp) })
-			} else {
-				e.pool.Submit(func() { rc <- e.decodeGroup(grp) })
-			}
-		}
-	}
-	close(order)
-}
-
-// advanceDecoded is advanceStream for the parallel receive pipeline: it
-// consumes in-order decoded groups instead of raw frames. Decoded groups
-// are independent allocations, so the returned span stays valid until the
-// consumer releases it — stricter than the sequential path's
-// until-next-call contract, which is what callers must assume.
-func (e *Engine) advanceDecoded(st *streamState, block bool) (data []byte, err error) {
-	for {
-		var g decGroup
-		if block {
-			g, err = st.decoded.Pop()
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var ok bool
-			g, ok = st.decoded.TryPop()
-			if !ok {
-				return nil, nil
-			}
-		}
-		if g.end {
-			return nil, errMsgEnd
-		}
-		e.stats.rawReceived.Add(int64(g.rawLen))
-		if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
-			// Deliver wait: decompression done to the consumer taking the
-			// group in wire order.
-			e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
-		}
-		if len(g.data) == 0 {
-			continue // an empty group adds nothing to the byte stream
-		}
-		return g.data, nil
-	}
+	return raw, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +359,86 @@ func TestReceiveMessageErrorReleasesPipeline(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines leaked after ReceiveMessage error", n-before)
+	}
+}
+
+// gatedReader yields first, then blocks until gate closes, then yields
+// rest: a source that waits for the peer after its first buffer.
+type gatedReader struct {
+	first, rest []byte
+	gate        chan struct{}
+}
+
+func (r *gatedReader) Read(p []byte) (int, error) {
+	if len(r.first) > 0 {
+		n := copy(p, r.first)
+		r.first = r.first[n:]
+		return n, nil
+	}
+	<-r.gate
+	if len(r.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
+// TestFinishedBufferSentBeforeNextRead: a buffer that is compressed goes
+// on the wire while the writer still waits on its source, at every
+// window, and the levels chosen along the way do not depend on the window.
+func TestFinishedBufferSentBeforeNextRead(t *testing.T) {
+	var want []codec.Level
+	for _, window := range []int{1, 4} {
+		o := parallelOptions(window)
+		var mu sync.Mutex
+		var levels []codec.Level
+		o.Trace.OnGroupSent = func(l codec.Level, _, _, _ int) {
+			mu.Lock()
+			levels = append(levels, l)
+			mu.Unlock()
+		}
+		e1, e2 := pipePair(t, o)
+		data := compressibleData(2 * o.BufferSize)
+		src := &gatedReader{first: data[:o.BufferSize], rest: data[o.BufferSize:], gate: make(chan struct{})}
+		var openGate sync.Once
+		defer openGate.Do(func() { close(src.gate) })
+		sent := make(chan error, 1)
+		go func() {
+			_, _, err := e1.SendMessage(src, int64(len(data)))
+			sent <- err
+		}()
+
+		got := make([]byte, len(data))
+		first := make(chan error, 1)
+		go func() {
+			_, err := io.ReadFull(e2, got[:o.BufferSize])
+			first <- err
+		}()
+		select {
+		case err := <-first:
+			if err != nil {
+				t.Fatalf("window %d: first buffer: %v", window, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("window %d: first buffer held back while the source waits", window)
+		}
+		openGate.Do(func() { close(src.gate) })
+		if _, err := io.ReadFull(e2, got[o.BufferSize:]); err != nil {
+			t.Fatalf("window %d: rest: %v", window, err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatalf("window %d: send: %v", window, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("window %d: payload mismatch", window)
+		}
+		mu.Lock()
+		if window == 1 {
+			want = levels
+		} else if !slices.Equal(levels, want) {
+			t.Fatalf("window %d chose levels %v, window 1 chose %v", window, levels, want)
+		}
+		mu.Unlock()
 	}
 }

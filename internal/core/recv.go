@@ -34,16 +34,17 @@ type recvFrame struct {
 
 // streamState is the receive pipeline for one in-progress stream message:
 // a reception goroutine (the paper's reception thread) pushes frames into
-// a bounded FIFO; the Read caller plays the decompression thread. With
-// Parallelism > 1 a decode pipeline (assembler, worker pool, in-order
-// collector) sits between the two and decoded holds its output.
+// a bounded FIFO; the Read caller plays the decompression thread. It
+// assembles groups and decodes up to Parallelism of them at once — inline
+// at a window of one, on the shared pool above it — delivering them in
+// wire order.
 type streamState struct {
-	frames  *fifo.Queue[recvFrame]
-	decoded *fifo.Queue[decGroup] // nil on the sequential path
+	frames *fifo.Queue[recvFrame]
 
-	// Group assembly, owned by the consumer (guarded by rmu); unused when
-	// the decode pipeline assembles groups instead.
-	asm groupAssembler
+	// Consumer state, guarded by rmu.
+	asm     groupAssembler
+	pending []*decJob // dispatched groups, in wire order
+	tail    error     // what follows pending: errMsgEnd or the stream's failure
 }
 
 // completedGroup is one fully assembled compressed group ready to decode.
@@ -57,14 +58,12 @@ type completedGroup struct {
 }
 
 // groupAssembler validates the frame sequence of a stream message and
-// accumulates packet payloads into complete groups. It is the one frame
-// state machine, shared by the sequential consumer and the parallel decode
-// pipeline so the two paths cannot drift.
+// accumulates packet payloads into complete groups.
 type groupAssembler struct {
 	// reuse keeps one block buffer across groups. Only safe when each
-	// completed group is fully consumed before the next feed call (the
-	// sequential path); the parallel path hands groups to workers and
-	// needs fresh ownership per group.
+	// completed group is fully consumed before the next feed call (a
+	// window of one); pool workers hold a group's block while the next
+	// one assembles, and a raw group's decoded bytes alias it.
 	reuse bool
 
 	inGroup bool
@@ -121,25 +120,20 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 	return nil, false, nil
 }
 
-// abort terminates the stream's queues so blocked producers and consumers
-// unblock with err.
+// abort terminates the stream's frame queue so the blocked reception
+// goroutine and consumer unblock with err.
 func (st *streamState) abort(err error) {
 	st.frames.Abort(err)
-	if st.decoded != nil {
-		st.decoded.Abort(err)
-	}
 }
 
-// startStream launches the reception thread — and, for Parallelism > 1,
-// the parallel decode pipeline — for a stream message.
+// startStream launches the reception thread for a stream message.
 func (e *Engine) startStream() *streamState {
 	e.resetRecvTrace()
-	st := &streamState{frames: fifo.New[recvFrame](e.opts.QueueCapacity)}
-	st.asm.reuse = true // the consumer decodes each group before the next
-	if e.opts.Parallelism > 1 {
-		st.decoded = fifo.New[decGroup](2 * e.opts.Parallelism)
-		go e.runDecodePipeline(st)
+	st := &streamState{
+		frames:  fifo.New[recvFrame](e.opts.QueueCapacity),
+		pending: make([]*decJob, 0, e.opts.Parallelism),
 	}
+	st.asm.reuse = e.opts.Parallelism == 1
 	go e.receiveLoop(st)
 	return st
 }
@@ -213,68 +207,72 @@ func (e *Engine) receiveLoop(st *streamState) {
 
 // advanceStream consumes frames until it has decoded at least one group
 // of the stream — returned as a span of decompressed bytes — the message
-// ends (errMsgEnd), or, in non-blocking mode, the FIFO runs dry (nil
-// data, nil error). The span is valid until the next advanceStream call
-// on this engine: on the sequential path it may alias the assembler's
-// reused block buffer. Callers either copy it (Read buffers it in
-// recvBuf) or hand it to the consumer under the same validity contract
-// (ReadChunk). On the parallel path the decode pipeline has already
-// turned frames into in-order groups, so this consumes those instead.
+// ends (errMsgEnd), or, in non-blocking mode, nothing is ready (nil data,
+// nil error). It first dispatches every group whose frames have arrived,
+// up to the window, waiting for a frame only when nothing is in flight;
+// then it delivers the oldest group. Groups dispatched before a failure
+// are delivered before the failure surfaces. The span is valid until the
+// next advanceStream call on this engine: at a window of one it may alias
+// the assembler's reused block buffer. Callers either copy it (Read
+// buffers it in recvBuf) or hand it to the consumer under the same
+// validity contract (ReadChunk).
 func (e *Engine) advanceStream(st *streamState, block bool) (data []byte, err error) {
-	if st.decoded != nil {
-		return e.advanceDecoded(st, block)
-	}
 	for {
-		var fr recvFrame
-		if block {
-			fr, err = st.frames.Pop()
-			if err == io.EOF {
-				// The queue drained after MsgEnd was already consumed;
-				// a well-formed stream never gets here.
-				return nil, io.ErrUnexpectedEOF
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var ok bool
-			fr, ok = st.frames.TryPop()
-			if !ok {
-				return nil, nil
-			}
-		}
-		g, end, ferr := st.asm.feed(fr)
-		if fr.payload != nil {
-			// feed copied the payload into the assembler's block; the
-			// frame's pooled buffer is free again.
-			bufpool.Put(fr.payload)
-		}
-		switch {
-		case ferr != nil:
-			return nil, ferr
-		case end:
-			return nil, errMsgEnd
-		case g != nil:
-			var r decResult
-			if e.opts.FlowTracer.Enabled() {
-				r = e.decodeGroupTraced(*g)
+		for st.tail == nil && len(st.pending) < e.opts.Parallelism {
+			var fr recvFrame
+			if block && len(st.pending) == 0 {
+				if fr, err = st.frames.Pop(); err != nil {
+					if err == io.EOF {
+						// The queue drained after MsgEnd was already
+						// consumed; a well-formed stream never gets here.
+						err = io.ErrUnexpectedEOF
+					}
+					st.tail = err
+					break
+				}
+			} else if f, ok := st.frames.TryPop(); ok {
+				fr = f
 			} else {
-				r = e.decodeGroup(*g)
+				break
 			}
-			if r.err != nil {
-				return nil, r.err
+			g, end, ferr := st.asm.feed(fr)
+			if fr.payload != nil {
+				// feed copied the payload into the assembler's block; the
+				// frame's pooled buffer is free again.
+				bufpool.Put(fr.payload)
 			}
-			e.stats.rawReceived.Add(int64(r.rawLen))
-			if !r.doneAt.IsZero() {
-				// Sequential consumer takes the group the moment it decodes
-				// it: the delivery wait is zero by construction.
-				e.recordRecvSpan(obs.StageDeliver, r.doneAt, 0, r.rawLen, r.level)
+			switch {
+			case ferr != nil:
+				st.tail = ferr
+			case end:
+				st.tail = errMsgEnd
+			case g != nil:
+				st.pending = append(st.pending, e.dispatchDecode(*g))
 			}
-			if len(r.data) == 0 {
-				continue // an empty group adds nothing to the byte stream
-			}
-			return r.data, nil
 		}
+		if len(st.pending) == 0 {
+			return nil, st.tail
+		}
+		j := st.pending[0]
+		if !j.wait(block) {
+			return nil, nil
+		}
+		st.pending = st.pending[:copy(st.pending, st.pending[1:])]
+		if j.err != nil {
+			// Groups behind a corrupt one are never delivered.
+			st.pending, st.tail = st.pending[:0], j.err
+			return nil, j.err
+		}
+		e.stats.rawReceived.Add(int64(j.g.rawLen))
+		if !j.doneAt.IsZero() {
+			// Deliver wait: decompression done to the consumer taking the
+			// group in wire order.
+			e.recordRecvSpan(obs.StageDeliver, j.doneAt, e.opts.FlowTracer.Now().Sub(j.doneAt), j.g.rawLen, int(j.g.level))
+		}
+		if len(j.data) > 0 {
+			return j.data, nil
+		}
+		// An empty group adds nothing to the byte stream.
 	}
 }
 
@@ -514,9 +512,9 @@ func (e *Engine) ReceiveMessage(w io.Writer) (int64, error) {
 				return total, nil
 			}
 			if err != nil {
-				// Abort before dropping cur: the reception goroutine (and
-				// decode pipeline) would otherwise block on full queues
-				// forever, unreachable even by Close.
+				// Abort before dropping cur: the reception goroutine would
+				// otherwise block on a full queue forever, unreachable
+				// even by Close.
 				st.abort(err)
 				e.storeCur(nil)
 				return total, e.normalizeErr(err)

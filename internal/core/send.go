@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/adler32"
 	"io"
+	"sync"
 	"time"
 
+	"adoc/internal/adapt"
 	"adoc/internal/codec"
 	"adoc/internal/core/bufpool"
 	"adoc/internal/fifo"
@@ -25,6 +27,17 @@ type segment struct {
 	groupWire  int // wire bytes of the whole group; set on the end segment
 }
 
+// message is one send request: the payload in memory (p) or streamed
+// from r (size bytes; size < 0 means until EOF), its level bounds, and its
+// flow-trace context.
+type message struct {
+	p        []byte
+	r        io.Reader
+	size     int64
+	min, max codec.Level
+	tc       obs.TraceContext
+}
+
 // WriteMessage sends p as one AdOC message at the engine's level bounds.
 // It returns the number of bytes that hit the wire (framing included) —
 // the value adoc_write reports through slen. On success the entire p was
@@ -36,8 +49,7 @@ func (e *Engine) WriteMessage(p []byte) (wireN int64, err error) {
 // WriteMessageLevels is WriteMessage with per-call level bounds
 // (adoc_write_levels): min > 0 forces compression, max == 0 disables it.
 func (e *Engine) WriteMessageLevels(p []byte, min, max codec.Level) (int64, error) {
-	_, wireN, err := e.writeMessage(p, min, max, obs.TraceContext{})
-	return wireN, err
+	return wireOnly(e.send(message{p: p, min: min, max: max}))
 }
 
 // WriteMessageTC is WriteMessage carrying a flow-trace context: when tc
@@ -45,11 +57,7 @@ func (e *Engine) WriteMessageLevels(p []byte, min, max codec.Level) (int64, erro
 // this message passes through records a span against tc — the entry
 // point the mux session uses for sampled batches.
 func (e *Engine) WriteMessageTC(p []byte, tc obs.TraceContext) (int64, error) {
-	if e.opts.FlowTracer == nil {
-		tc = obs.TraceContext{}
-	}
-	_, wireN, err := e.writeMessage(p, e.opts.MinLevel, e.opts.MaxLevel, tc)
-	return wireN, err
+	return wireOnly(e.send(message{p: p, min: e.opts.MinLevel, max: e.opts.MaxLevel, tc: tc}))
 }
 
 // WriteMessageFull is WriteMessage returning additionally the number of
@@ -58,41 +66,34 @@ func (e *Engine) WriteMessageTC(p []byte, tc obs.TraceContext) (int64, error) {
 // of every group that fully reached the socket before the error. Conn's
 // io.Writer adapter relies on this to honor the partial-write contract.
 func (e *Engine) WriteMessageFull(p []byte) (accepted int, wireN int64, err error) {
-	return e.writeMessage(p, e.opts.MinLevel, e.opts.MaxLevel, obs.TraceContext{})
-}
-
-func (e *Engine) writeMessage(p []byte, min, max codec.Level, tc obs.TraceContext) (accepted int, wireN int64, err error) {
-	if !min.Valid() || !max.Valid() || min > max {
-		return 0, 0, codec.ErrBadLevel
-	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	e.sendTC = tc
-	if min == codec.MinLevel && len(p) < e.opts.SmallThreshold {
-		acc, n, err := e.writeSmall(p)
-		return int(acc), n, err
-	}
-	acc, n, err := e.writeStream(bytes.NewReader(p), int64(len(p)), min, max)
-	if err == nil {
-		acc = int64(len(p))
-	}
-	return int(acc), n, err
+	delivered, wireN, err := e.send(message{p: p, min: e.opts.MinLevel, max: e.opts.MaxLevel})
+	return int(delivered), wireN, err
 }
 
 // SendMessage streams size bytes from r as one AdOC message; size < 0
-// means unknown (read until EOF). It returns the raw byte count consumed
-// from r and the wire byte count — the pair adoc_send_file returns (file
-// size) and outputs (slen). This is the adoc_send_file equivalent.
+// means unknown (read until EOF). It returns the raw bytes delivered —
+// the whole message on success, and on failure the payload of every group
+// that fully reached the socket — and the wire byte count: the pair
+// adoc_send_file returns (file size) and outputs (slen). This is the
+// adoc_send_file equivalent.
 func (e *Engine) SendMessage(r io.Reader, size int64) (raw, wireN int64, err error) {
 	return e.SendMessageLevels(r, size, e.opts.MinLevel, e.opts.MaxLevel)
 }
 
 // SendMessageLevels is SendMessage with per-call level bounds.
 func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level) (raw, wireN int64, err error) {
-	if !min.Valid() || !max.Valid() || min > max {
+	return e.send(message{r: r, size: size, min: min, max: max})
+}
+
+func wireOnly(_, wireN int64, err error) (int64, error) { return wireN, err }
+
+// send is the one write path under every exported write method. It
+// validates the level bounds, serializes senders, and takes either the
+// small fast path or the stream pipeline. delivered is the payload of
+// every group that fully reached the socket: the whole message on
+// success.
+func (e *Engine) send(m message) (delivered, wireN int64, err error) {
+	if !m.min.Valid() || !m.max.Valid() || m.min > m.max {
 		return 0, 0, codec.ErrBadLevel
 	}
 	e.wmu.Lock()
@@ -100,35 +101,36 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 	if e.closed.Load() {
 		return 0, 0, ErrClosed
 	}
-	e.sendTC = obs.TraceContext{}
-	if size >= 0 && size < int64(e.opts.SmallThreshold) && min == codec.MinLevel {
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return 0, 0, fmt.Errorf("adoc: reading source: %w", err)
-		}
-		_, n, err := e.writeSmall(buf)
-		return size, n, err
+	if e.opts.FlowTracer == nil {
+		m.tc = obs.TraceContext{}
 	}
-	if size < 0 {
-		// Unknown size: peek up to SmallThreshold to decide the path.
-		probe := make([]byte, e.opts.SmallThreshold)
-		n, rerr := io.ReadFull(r, probe)
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if min == codec.MinLevel {
-				_, w, err := e.writeSmall(probe[:n])
-				return int64(n), w, err
-			}
-			_, w, err := e.writeStream(bytes.NewReader(probe[:n]), int64(n), min, max)
-			return int64(n), w, err
+	e.sendTC = m.tc
+	if m.r != nil && (m.size < 0 || (m.min == codec.MinLevel && m.size < int64(e.opts.SmallThreshold))) {
+		// A source that may fit the small path, or of unknown size: read
+		// up to SmallThreshold bytes to learn which path it takes.
+		peek := bufpool.Get(e.opts.SmallThreshold)
+		defer bufpool.Put(peek)
+		if m.size >= 0 {
+			peek = peek[:m.size]
 		}
-		if rerr != nil {
+		n, rerr := io.ReadFull(m.r, peek)
+		switch {
+		case rerr == nil && m.size < 0:
+			// More may follow: stream the peeked prefix, then the rest.
+			m.r = io.MultiReader(bytes.NewReader(peek[:n]), m.r)
+		case rerr == nil || (m.size < 0 && (rerr == io.EOF || rerr == io.ErrUnexpectedEOF)):
+			m.p, m.r = peek[:n], nil
+		default:
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", rerr)
 		}
-		src := io.MultiReader(bytes.NewReader(probe[:n]), r)
-		return e.writeStreamCounted(src, -1, min, max)
 	}
-	_, w, err := e.writeStream(r, size, min, max)
-	return size, w, err
+	if m.r == nil {
+		if m.min == codec.MinLevel && len(m.p) < e.opts.SmallThreshold {
+			return e.writeSmall(m.p)
+		}
+		m.r, m.size = bytes.NewReader(m.p), int64(len(m.p))
+	}
+	return e.writeStream(m.r, m.size, m.min, m.max)
 }
 
 // writeSmall sends the no-pipeline fast path: one buffer, one system call,
@@ -163,32 +165,85 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 	return int64(len(p)), int64(len(msg)), nil
 }
 
-// writeStreamCounted wraps writeStream, additionally counting raw bytes for
-// unknown-size sources.
-func (e *Engine) writeStreamCounted(src io.Reader, size int64, min, max codec.Level) (raw, wireN int64, err error) {
-	cr := &countingReader{r: src}
-	_, wireN, err = e.writeStream(cr, size, min, max)
-	return cr.n, wireN, err
+// chunkReader cuts a message source into adaptation buffers. remaining
+// counts the bytes still owed (< 0: read until EOF); err is terminal —
+// io.EOF once the message is complete, else the source's failure.
+type chunkReader struct {
+	r         io.Reader
+	remaining int64
+	err       error
 }
 
-type countingReader struct {
-	r io.Reader
-	n int64
+// next fills buf, up to the bytes still owed, and returns the filled part.
+// An empty result means the source is done; failure says how.
+func (c *chunkReader) next(buf []byte) []byte {
+	if c.remaining == 0 && c.err == nil {
+		c.err = io.EOF
+	}
+	if c.err != nil {
+		return nil
+	}
+	if c.remaining > 0 && c.remaining < int64(len(buf)) {
+		buf = buf[:c.remaining]
+	}
+	n, err := io.ReadFull(c.r, buf)
+	if c.remaining > 0 {
+		c.remaining -= int64(n)
+	}
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		c.err = io.EOF
+		if c.remaining > 0 {
+			c.err = fmt.Errorf("adoc: source ended %d bytes early: %w", c.remaining, io.ErrUnexpectedEOF)
+		}
+	case err != nil:
+		c.err = fmt.Errorf("adoc: reading source: %w", err)
+	}
+	return buf[:n]
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// more reports whether next may still return bytes.
+func (c *chunkReader) more() bool { return c.err == nil && c.remaining != 0 }
+
+// failure is the source's terminal error; nil after a clean end.
+func (c *chunkReader) failure() error {
+	if c.err == io.EOF {
+		return nil
+	}
+	return c.err
+}
+
+// socketDst is the segDst of the writes that run on the caller thread with
+// no emission thread behind them — stream header, probe, fast-link bypass,
+// message end: each segment goes straight to the socket.
+type socketDst struct {
+	e         *Engine
+	wire      int64 // bytes written, including those of a failed Write
+	delivered int64 // raw payload of every group that fully reached the socket
+}
+
+func (d *socketDst) write(b []byte) error {
+	n, err := d.e.rw.Write(b)
+	d.wire += int64(n)
+	return err
+}
+
+func (d *socketDst) Push(s segment) error {
+	err := d.write(s.data)
+	bufpool.Put(s.data)
+	if err == nil && s.groupEnd {
+		d.delivered += int64(s.groupRaw)
+	}
+	return err
 }
 
 // writeStream sends one stream message: header, optional probe, then
-// either the raw bypass (fast link) or the adaptive two-goroutine
-// pipeline. Caller holds wmu. delivered is the raw payload of every group
-// that fully reached the socket (the basis of the io.Writer partial-write
-// count); wireBytes counts everything written, and is folded into Stats on
-// every return path — error or not — so a mid-stream failure cannot leave
-// socket bytes unaccounted.
+// either the raw bypass (fast link) or the adaptive pipeline. Caller holds
+// wmu. delivered is the raw payload of every group that fully reached the
+// socket (the basis of the io.Writer partial-write count); wireBytes
+// counts everything written, and is folded into Stats on every return
+// path — error or not — so a mid-stream failure cannot leave socket bytes
+// unaccounted.
 func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (delivered, wireBytes int64, err error) {
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
@@ -198,81 +253,70 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	// references one generation and the in-band announcement ordering
 	// (dictionary bytes ride an earlier message) holds.
 	e.msgDict = e.snapshotSendDict()
-	defer func() { e.stats.wireSent.Add(wireBytes) }()
+	sock := &socketDst{e: e}
+	defer func() {
+		delivered += sock.delivered
+		wireBytes += sock.wire
+		e.stats.wireSent.Add(wireBytes)
+	}()
 	totalRaw := wire.UnknownTotal
 	if size >= 0 {
 		totalRaw = uint64(size)
 	}
-	hdr := wire.AppendStreamHeader(nil, totalRaw)
-	hn, err := e.rw.Write(hdr)
-	wireBytes += int64(hn)
-	if err != nil {
-		return 0, wireBytes, err
+	if err := sock.write(wire.AppendStreamHeader(nil, totalRaw)); err != nil {
+		return 0, 0, err
 	}
 
-	remaining := size // < 0 when unknown
-
+	cr := &chunkReader{r: src, remaining: size}
 	// Bandwidth probe (paper §5 "Fast Networks"): only when adaptation is
 	// allowed to pick level 0 and the payload is large enough that the
 	// probe prefix is guaranteed to exist.
 	bypass := false
 	if min == codec.MinLevel && !e.opts.DisableProbe &&
 		(size >= int64(e.opts.SmallThreshold) || size < 0) {
-		probeBuf := bufpool.Get(e.opts.ProbeSize)
-		defer bufpool.Put(probeBuf)
-		n, rerr := io.ReadFull(src, probeBuf)
-		if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
-		}
-		if n > 0 {
-			start := e.opts.Clock.Now()
-			w, err := e.writeRawGroupDirect(probeBuf[:n])
-			wireBytes += w
-			if err != nil {
-				return delivered, wireBytes, err
-			}
-			delivered += int64(n)
-			dur := e.opts.Clock.Now().Sub(start)
-			bps := float64(n) / maxSeconds(dur)
-			e.ctrl.RecordDelivery(codec.MinLevel, n, dur)
-			bypass = bps > e.opts.FastCutoffBps
-			if e.opts.Trace.OnProbe != nil {
-				e.opts.Trace.OnProbe(bps, bypass)
-			}
-			if remaining >= 0 {
-				remaining -= int64(n)
-			}
-			e.stats.rawSent.Add(int64(n))
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			remaining = 0
+		if bypass, err = e.probe(cr, sock); err != nil {
+			return 0, 0, err
 		}
 	}
-
-	var d, w int64
-	switch {
-	case bypass:
+	if bypass {
 		e.stats.probeBypasses.Add(1)
-		d, w, err = e.sendRawBypass(src, remaining)
-	case e.opts.Parallelism > 1:
-		d, w, err = e.sendAdaptiveParallel(src, remaining)
-	default:
-		d, w, err = e.sendAdaptive(src, remaining)
+		err = e.sendRawBypass(cr, sock)
+	} else {
+		delivered, wireBytes, err = e.sendAdaptive(cr)
 	}
-	delivered += d
-	wireBytes += w
 	if err != nil {
 		return delivered, wireBytes, err
 	}
-
-	end := wire.AppendMsgEnd(nil)
-	en, err := e.rw.Write(end)
-	wireBytes += int64(en)
-	if err != nil {
+	if err := sock.write(wire.AppendMsgEnd(nil)); err != nil {
 		return delivered, wireBytes, err
 	}
 	e.stats.msgsSent.Add(1)
 	return delivered, wireBytes, nil
+}
+
+// probe sends the bandwidth-measurement prefix raw on the caller thread
+// and reports whether the measured speed exceeds the fast cutoff, in
+// which case the rest of the message goes out uncompressed too.
+func (e *Engine) probe(cr *chunkReader, sock *socketDst) (bypass bool, err error) {
+	buf := bufpool.Get(e.opts.ProbeSize)
+	defer bufpool.Put(buf)
+	chunk := cr.next(buf)
+	if len(chunk) == 0 {
+		return false, nil
+	}
+	start := e.opts.Clock.Now()
+	if err := e.pushBlockGroup(sock, codec.MinLevel, chunk, chunk); err != nil {
+		return false, err
+	}
+	dur := e.opts.Clock.Now().Sub(start)
+	bps := float64(len(chunk)) / maxSeconds(dur)
+	e.ctrl.RecordDelivery(codec.MinLevel, len(chunk), dur)
+	e.stats.rawSent.Add(int64(len(chunk)))
+	bypass = bps > e.opts.FastCutoffBps
+	if e.opts.Trace.OnProbe != nil {
+		e.opts.Trace.OnProbe(bps, bypass)
+	}
+	return bypass, nil
 }
 
 // maxSeconds avoids division by zero on clocks with coarse resolution.
@@ -284,74 +328,19 @@ func maxSeconds(d time.Duration) float64 {
 	return s
 }
 
-// writeRawGroupDirect writes one level-0 group synchronously (probe and
-// bypass paths run on the caller thread; no pipeline exists yet). Bytes a
-// failed Write did manage to push are included in the returned count.
-func (e *Engine) writeRawGroupDirect(chunk []byte) (int64, error) {
-	var wireBytes int64
-	hdr := wire.AppendGroupBegin(nil, codec.MinLevel)
-	n, err := e.rw.Write(hdr)
-	wireBytes += int64(n)
-	if err != nil {
-		return wireBytes, err
-	}
-	frame := make([]byte, 0, e.opts.PacketSize+wire.FramePacketOverhead)
-	for off := 0; off < len(chunk); off += e.opts.PacketSize {
-		end := off + e.opts.PacketSize
-		if end > len(chunk) {
-			end = len(chunk)
-		}
-		frame = wire.AppendPacket(frame[:0], chunk[off:end])
-		n, err := e.rw.Write(frame)
-		wireBytes += int64(n)
-		if err != nil {
-			return wireBytes, err
-		}
-	}
-	tail := wire.AppendGroupEnd(nil, len(chunk), adler32.Checksum(chunk))
-	n, err = e.rw.Write(tail)
-	wireBytes += int64(n)
-	if err != nil {
-		return wireBytes, err
-	}
-	return wireBytes, nil
-}
-
 // sendRawBypass sends the remainder of the message uncompressed on the
 // caller thread — the Gbit fast path where "we send the remaining data
-// uncompressed". remaining < 0 means until EOF.
-func (e *Engine) sendRawBypass(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
+// uncompressed".
+func (e *Engine) sendRawBypass(cr *chunkReader, sock *socketDst) error {
 	buf := bufpool.Get(e.opts.BufferSize)
 	defer bufpool.Put(buf)
-	for remaining != 0 {
-		want := int64(len(buf))
-		if remaining > 0 && remaining < want {
-			want = remaining
+	for chunk := cr.next(buf); len(chunk) > 0; chunk = cr.next(buf) {
+		if err := e.pushBlockGroup(sock, codec.MinLevel, chunk, chunk); err != nil {
+			return err
 		}
-		n, rerr := io.ReadFull(src, buf[:want])
-		if n > 0 {
-			w, err := e.writeRawGroupDirect(buf[:n])
-			wireBytes += w
-			if err != nil {
-				return delivered, wireBytes, err
-			}
-			delivered += int64(n)
-			e.stats.rawSent.Add(int64(n))
-			if remaining > 0 {
-				remaining -= int64(n)
-			}
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if remaining > 0 {
-				return delivered, wireBytes, fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
-			}
-			break
-		}
-		if rerr != nil {
-			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
-		}
+		e.stats.rawSent.Add(int64(len(chunk)))
 	}
-	return delivered, wireBytes, nil
+	return cr.failure()
 }
 
 // emitResult is the emission thread's final report. rawDelivered is the
@@ -362,79 +351,92 @@ type emitResult struct {
 	err          error
 }
 
-// sendAdaptive runs the paper's two-thread pipeline: the caller acts as
-// the compression thread, a spawned goroutine as the emission thread, and
-// a bounded FIFO of packets in between. remaining < 0 means until EOF.
-// Parallelism > 1 takes sendAdaptiveParallel instead.
-func (e *Engine) sendAdaptive(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
-	if remaining == 0 {
-		return 0, 0, nil
+// sendAdaptive runs the paper's pipeline: the caller is the compression
+// thread, a spawned goroutine the emission thread, and a bounded FIFO of
+// packets sits in between. Parallelism is the in-flight window. At one the
+// caller compresses each buffer itself, its packets streaming into the
+// FIFO while DEFLATE runs. Above one it hands buffers to the shared
+// WorkerPool and queues the jobs, in buffer order, for the emission
+// thread, which takes each job's packets as soon as that job finishes —
+// never waiting for the writer's next source read — so the wire keeps
+// buffer order.
+func (e *Engine) sendAdaptive(cr *chunkReader) (delivered, wireBytes int64, err error) {
+	if !cr.more() {
+		return 0, 0, cr.failure()
 	}
 	tc := e.sendTC
 	tr := e.opts.FlowTracer
-	q := fifo.New[segment](e.opts.QueueCapacity)
-	res := make(chan emitResult, 1)
-	go e.runEmitter(q, res, tc)
-
-	buf := bufpool.Get(e.opts.BufferSize)
-	defer bufpool.Put(buf)
-	var scratch []byte
-	defer func() {
-		if scratch != nil {
-			bufpool.Put(scratch)
-		}
-	}()
-	var sendErr error
-	for remaining != 0 {
-		want := int64(len(buf))
-		if remaining > 0 && remaining < want {
-			want = remaining
-		}
-		n, rerr := io.ReadFull(src, buf[:want])
-		if n > 0 {
-			level := e.ctrl.LevelForNextBuffer(q.Len())
-			level, class := e.classifyBuffer(level, buf[:n])
-			e.noteContent(class)
-			if scratch == nil && level == codec.LZF {
-				scratch = bufpool.Get(e.opts.BufferSize)
-			}
-			// Sequential path: the caller is the compression thread, so
-			// there is no enqueue or queue wait to measure — the compress
-			// span starts right here.
-			var ct time.Time
-			if tc.Sampled {
-				ct = tr.Now()
-			}
-			if err := e.compressBufferAt(q, level, buf[:n], scratch); err != nil {
-				sendErr = err
-				break
-			}
-			if tc.Sampled {
-				tr.Record(tc, 0, obs.StageCompress, ct, tr.Now().Sub(ct), n, int(level))
-			}
-			e.stats.rawSent.Add(int64(n))
-			if remaining > 0 {
-				remaining -= int64(n)
-			}
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if remaining > 0 {
-				sendErr = fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
-			}
-			break
-		}
-		if rerr != nil {
-			sendErr = fmt.Errorf("adoc: reading source: %w", rerr)
-			break
-		}
-	}
-	if sendErr != nil {
-		q.Abort(sendErr)
+	var q *fifo.Queue[segment] // a window of one
+	var jobs *jobQueue         // above it
+	var src emitSource
+	if e.opts.Parallelism == 1 {
+		q = fifo.New[segment](e.opts.QueueCapacity)
+		src = q
 	} else {
-		q.CloseSend()
+		jobs = &jobQueue{e: e, jobs: fifo.New[*compJob](e.opts.Parallelism),
+			backlog: &adapt.Backlog{}, limit: e.opts.QueueCapacity}
+		src = jobs
+	}
+	res := make(chan emitResult, 1)
+	go e.runEmitter(src, res, tc)
+
+	// Every dispatched job finishes before the message returns: workers
+	// read the message's dictionary, which the next message replaces.
+	var inflight sync.WaitGroup
+	var sendErr error
+	for sendErr == nil {
+		buf := bufpool.Get(e.opts.BufferSize)
+		data := cr.next(buf)
+		if len(data) == 0 {
+			bufpool.Put(buf)
+			sendErr = cr.failure()
+			break
+		}
+		// The level is chosen here, against the whole-pipeline occupancy
+		// (packets compressed and not yet sent), and travels with the
+		// buffer.
+		j := &compJob{buf: buf, raw: len(data), level: e.ctrl.LevelForNextBuffer(src.Len())}
+		if q != nil {
+			e.compress(j, data, q, tc)
+			if sendErr = j.err; sendErr == nil {
+				e.noteContent(j.class)
+				e.stats.rawSent.Add(int64(j.raw))
+			}
+			continue
+		}
+		// The wait for an in-flight slot is the writer's enqueue stage;
+		// the queue stage (submit to job start) is measured by the worker
+		// against submitAt.
+		var eq time.Time
+		if tc.Sampled {
+			eq = tr.Now()
+		}
+		j.segs.backlog = jobs.backlog
+		j.done = make(chan struct{})
+		if sendErr = jobs.jobs.Push(j); sendErr != nil {
+			bufpool.Put(buf)
+			break
+		}
+		if tc.Sampled {
+			j.submitAt = tr.Now()
+			tr.Record(tc, 0, obs.StageEnqueue, eq, j.submitAt.Sub(eq), j.raw, int(j.level))
+		}
+		inflight.Add(1)
+		e.pool.Submit(func() {
+			e.compress(j, data, &j.segs, tc)
+			close(j.done)
+			inflight.Done()
+		})
+	}
+	inflight.Wait()
+
+	if sendErr != nil {
+		src.Abort(sendErr)
+	} else {
+		src.CloseSend()
 	}
 	r := <-res
-	if hw := int64(q.HighWater()); hw > e.stats.queueHigh.Load() {
+	if hw := int64(src.HighWater()); hw > e.stats.queueHigh.Load() {
 		e.stats.queueHigh.Store(hw)
 	}
 	if sendErr != nil {
@@ -443,12 +445,22 @@ func (e *Engine) sendAdaptive(src io.Reader, remaining int64) (delivered, wireBy
 	return r.rawDelivered, r.wireBytes, r.err
 }
 
-// runEmitter is the emission thread: it drains the FIFO onto the socket
+// emitSource is what the emission thread drains: the packet FIFO at a
+// window of one, the in-order job queue above it.
+type emitSource interface {
+	Pop() (segment, error)
+	Len() int
+	CloseSend()
+	Abort(error)
+	HighWater() int
+}
+
+// runEmitter is the emission thread: it drains its source onto the socket
 // and measures per-group delivery time, feeding the divergence guard.
 // The message's flow-trace context arrives as a parameter (captured
 // under wmu at spawn), so a sampled message's wire spans need no shared
 // state with the writer.
-func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc obs.TraceContext) {
+func (e *Engine) runEmitter(q emitSource, res chan<- emitResult, tc obs.TraceContext) {
 	var wireBytes, rawDelivered int64
 	var groupStart time.Time
 	for {
@@ -487,17 +499,16 @@ func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc ob
 	}
 }
 
-// segDst receives the wire-framed segments of a compressed group: the
-// emission FIFO on the sequential path, a per-worker reorder list on the
-// parallel path.
+// segDst receives the wire-framed segments of a group: the emission FIFO
+// at a window of one, a pool job's own list above it, or the socket itself
+// for the probe and fast-link bypass.
 type segDst interface {
 	Push(segment) error
 }
 
 // contentClass is the entropy probe's verdict on one adaptation buffer,
 // reported back to the controller separately from the compression work so
-// the parallel path can apply feedback in buffer order, not worker
-// completion order.
+// feedback arrives in buffer order, not worker completion order.
 type contentClass int8
 
 const (
@@ -534,11 +545,9 @@ func (e *Engine) classifyBuffer(level codec.Level, chunk []byte) (codec.Level, c
 	return level, classCompressible
 }
 
-// noteContent feeds one buffer's probe verdict to the controller. Callers
-// must invoke it in buffer (stream) order — the sequential path inline,
-// the parallel path from its in-order reassembly stage — so the
-// consecutive-bypass run the controller tracks matches what actually went
-// on the wire.
+// noteContent feeds one buffer's probe verdict to the controller. The
+// pipeline invokes it in buffer (stream) order, so the consecutive-bypass run the
+// controller tracks matches what actually went on the wire.
 func (e *Engine) noteContent(class contentClass) {
 	switch class {
 	case classBypassed:

@@ -16,7 +16,7 @@ import (
 // option) bounds how many jobs it may have queued at once.
 //
 // Jobs never block on other jobs — each compresses or decompresses one
-// buffer and delivers its result into a per-engine buffered channel — so
+// buffer, stores the result in its job and closes the job's done channel — so
 // a fixed worker count cannot deadlock no matter how many engines share
 // the pool.
 //
